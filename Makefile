@@ -16,13 +16,13 @@ build:
 tier1: vet staticcheck alloc-regression
 	$(GO) test -race -short ./...
 
-# alloc-regression pins the decide path and the small-frame read loop at
-# zero allocations per operation via testing.AllocsPerRun. It must run
-# without the race detector (shadow allocations would inflate the counts),
-# which is why it is a separate tier1 prerequisite rather than part of the
-# race suite.
+# alloc-regression pins the decide path, the small-frame read loop and the
+# wire server's per-copy dispatch lookup at zero allocations per operation
+# via testing.AllocsPerRun. It must run without the race detector (shadow
+# allocations would inflate the counts), which is why it is a separate
+# tier1 prerequisite rather than part of the race suite.
 alloc-regression:
-	$(GO) test -count=1 -run 'TestDecidePathZeroAllocs|TestReadFrameZeroCopySmall' ./internal/broker/ ./internal/wire/
+	$(GO) test -count=1 -run 'TestDecidePathZeroAllocs|TestReadFrameZeroCopySmall|TestDispatchZeroAllocs' ./internal/broker/ ./internal/wire/ ./internal/transport/
 
 # staticcheck runs honnef.co/go/tools when the binary is on PATH and is a
 # no-op otherwise, so tier1 never depends on tooling the container lacks.

@@ -1,7 +1,7 @@
 // Broker runs the pub-sub system "for real": instead of pricing delivery
-// paths, it spins up an in-process delivery fabric (one inbox goroutine per
-// subscriber node, a decision stage, a fan-out worker pool) and pushes an
-// event stream through it. It contrasts a grid-clustered engine — fast,
+// paths, it spins up an in-process delivery fabric (a decision stage and a
+// fan-out worker pool that delivers each copy to its subscriber node) and
+// pushes an event stream through it. It contrasts a grid-clustered engine — fast,
 // but some multicast copies land on uninterested nodes — with a No-Loss
 // engine, whose groups by construction never waste a single copy.
 //

@@ -1,9 +1,9 @@
 // Package broker turns the Engine's per-event delivery *decisions* into
-// actual message deliveries over an in-process fabric: every network node
-// gets an inbox goroutine, publications flow through a sharded decision
-// plane, and a fan-out worker pool places one copy of each event in every
-// destination inbox (group members, remainder top-ups, or unicast
-// targets).
+// actual message deliveries: publications flow through a sharded decision
+// plane, and a fan-out worker pool hands one copy of each event to every
+// destination node (group members, remainder top-ups, or unicast targets),
+// accepting it on the spot — dedup, accounting and the delivery observer
+// run on the fan-out worker itself.
 //
 // The broker exists to validate delivery *semantics* end to end — the cost
 // model in internal/sim prices paths, this package checks who actually
@@ -36,17 +36,20 @@
 // Pipeline shape (all stdlib, structured shutdown):
 //
 //	Publish() → seq assignment → publishCh → N decision workers (snapshot reads)
-//	          → fanoutCh → M fan-out workers → per-node inboxes
-//	          → per-node consumer goroutines → Stats
+//	          → fanoutCh → M fan-out workers → accept (dedup, ack, Stats, observer)
 //	Subscribe()/Unsubscribe()/quarantines/auto-refresh → writer goroutine
 //	          → engine mutation → snapshot swap
+//
+// The goroutine count is fixed at the decision workers, the fan-out
+// workers, the writer and (with self-healing on) the control loop; it does
+// not grow with the number of subscriber nodes.
 //
 // With a faults.Injector attached (WithFaults), the broker layers a
 // reliability protocol over the lossy fabric:
 //
 //   - every publication carries a sequence number (assigned at Publish, so
-//     it orders events even across concurrent decision workers); receivers
-//     dedup on it within a sliding window;
+//     it orders events even across concurrent decision workers); each node
+//     dedups on it within a sliding window;
 //   - dropped attempts are retried with exponential backoff + deterministic
 //     jitter, bounded per delivery (MaxRetries) and per event (RetryBudget);
 //   - when the primary route exhausts its retries, the delivery degrades to
@@ -79,6 +82,7 @@ package broker
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -116,15 +120,11 @@ type Delivery struct {
 	// top-up after the primary route exhausted its retries.
 	Degraded bool
 
-	// born is the decision-stage timestamp; the consumer turns it into the
+	// born is the decision-stage timestamp; accept turns it into the
 	// end-to-end delivery-latency histogram.
 	born time.Time
 	// trace is the event's sampled lifecycle trace, nil when untraced.
 	trace *telemetry.EventTrace
-	// pending counts this publication's copies still in flight (durable
-	// brokers only); the consumer that retires the last copy removes the
-	// publication from the checkpoint carry-forward set.
-	pending *atomic.Int64
 }
 
 // queued is one admitted publication in flight to the decision plane.
@@ -193,7 +193,7 @@ type routed struct {
 	// tok is the admission token carried from Publish.
 	tok *health.Token
 	// nodes are the delivery targets beyond Remainder/Interested: the
-	// routed group's members (NetworkMulticast) or every inbox node
+	// routed group's members (NetworkMulticast) or every routed node
 	// (Broadcast), captured at decision time from the snapshot so fan-out
 	// never reads mutable state. Read-only.
 	nodes []topology.NodeID
@@ -203,10 +203,18 @@ type routed struct {
 	// budget is the event's remaining retry allowance, shared across
 	// destinations.
 	budget *atomic.Int64
-	// pending refcounts the in-flight copies for durable brokers: it
-	// starts at 1 (the fan-out stage itself), gains 1 per inbox send, and
-	// the publication leaves the in-flight set when it hits zero.
-	pending *atomic.Int64
+	// held collects the event's accepted copies on a replicated broker
+	// until the replica has their ack records (see accept); ackTicket is
+	// the highest ack ticket among them. Owned by the fan-out worker.
+	held      []heldCopy
+	ackTicket int64
+}
+
+// heldCopy is an accepted copy waiting for its ack to reach the replica.
+type heldCopy struct {
+	n  topology.NodeID
+	nr *nodeRoute
+	d  Delivery
 }
 
 // Stats aggregates delivery accounting. Snapshot via Broker.Stats; the
@@ -216,7 +224,7 @@ type Stats struct {
 	Multicast  int64 // events delivered via a group
 	Unicast    int64 // events delivered by unicast only
 	Broadcast  int64 // events flooded (DynamicMethod engines only)
-	Deliveries int64 // message copies accepted at inboxes (post-dedup)
+	Deliveries int64 // message copies accepted at nodes (post-dedup)
 	Wasted     int64 // copies delivered to uninterested nodes
 
 	// Churn / snapshot counters.
@@ -273,11 +281,12 @@ type metrics struct {
 	offline     *telemetry.Counter
 	lost        *telemetry.Counter
 
-	// deliverLatency is decision→inbox-accept wall time per copy, ns.
+	// deliverLatency is decision→accept wall time per copy, ns.
 	deliverLatency *telemetry.Histogram
 	// backoffWait is time slept in retry backoff, ns.
 	backoffWait *telemetry.Histogram
-	// queueDepth samples the destination inbox depth at each enqueue.
+	// queueDepth samples the fan-out queue depth once per event, at the
+	// decide→fan-out hand-off.
 	queueDepth *telemetry.Histogram
 }
 
@@ -303,7 +312,7 @@ func newMetrics(s *telemetry.Scope) metrics {
 		lost:           s.Counter("lost"),
 		deliverLatency: s.Histogram("deliver_latency_ns", telemetry.LatencyBuckets()),
 		backoffWait:    s.Histogram("backoff_wait_ns", telemetry.LatencyBuckets()),
-		queueDepth:     s.Histogram("queue_depth", telemetry.LinearBuckets(0, 2, 16)),
+		queueDepth:     s.Histogram("queue_depth", telemetry.LinearBuckets(0, 4, 16)),
 	}
 }
 
@@ -325,11 +334,11 @@ type ReliabilityConfig struct {
 	// deterministic jitter.
 	BaseBackoff time.Duration
 	MaxBackoff  time.Duration
-	// DedupWindow is the per-consumer dedup memory, in sequence numbers
-	// (default 4096): a receiver remembers the last DedupWindow seqs and
+	// DedupWindow is the per-node dedup memory, in sequence numbers
+	// (default 4096): a node remembers the last DedupWindow seqs and
 	// treats anything older as already seen. Duplicates only arise from
 	// immediate retransmission, so the window bounds dedup memory at
-	// 8·DedupWindow bytes per consumer instead of growing for the life of
+	// 8·DedupWindow bytes per node instead of growing for the life of
 	// the broker.
 	DedupWindow int
 }
@@ -383,14 +392,21 @@ func (rc *ReliabilityConfig) setDefaults() {
 	}
 }
 
-// routeTable is the immutable inbox/counter directory published through an
-// atomic pointer. The writer goroutine replaces it wholesale when a
-// Subscribe introduces a node that had no inbox at start — the counters
-// grow dynamically instead of being frozen at New (which would nil-deref
-// for post-start subscribers).
+// routeTable is the immutable per-node delivery directory published
+// through an atomic pointer. The writer goroutine replaces it wholesale
+// (copy-on-write) when a Subscribe introduces a node that had no route at
+// start, so fan-out workers read it without locks.
 type routeTable struct {
-	inboxes map[topology.NodeID]chan Delivery
-	perNode map[topology.NodeID]*atomic.Int64
+	nodes map[topology.NodeID]*nodeRoute
+}
+
+// nodeRoute is one subscriber node's receiving state.
+type nodeRoute struct {
+	delivered atomic.Int64 // accepted copies (Stats.PerNode)
+	// win is the node's dedup window: nil unless durability or fault
+	// injection can produce a duplicate copy. Locked, because two fan-out
+	// workers can deliver to the same node at once.
+	win *lockedWindow
 }
 
 // churnReq is one Subscribe/Unsubscribe request bound for the writer.
@@ -423,7 +439,7 @@ type Broker struct {
 	// seq numbers publications at ingress, so sequence order matches
 	// publish order even across concurrent decision workers.
 	seq atomic.Int64
-	// routes is the current inbox/counter directory (see routeTable).
+	// routes is the current per-node directory (see routeTable).
 	routes atomic.Pointer[routeTable]
 
 	publishCh    chan queued
@@ -443,9 +459,12 @@ type Broker struct {
 	// durOpts is the store tuning captured from WithDurableOptions.
 	dur     *durState
 	durOpts *durable.Options
+	// holdAcks is set when the store replicates: accepted copies wait for
+	// their ack records to reach the replica before they are observed.
+	holdAcks bool
 
 	// observer, when set, sees every accepted delivery after stats
-	// accounting.
+	// accounting, on the fan-out worker that delivered it.
 	observer func(topology.NodeID, Delivery)
 	// decisionObs, when set, sees every decided event (with its priced
 	// costs) on a decision worker, before fan-out. Shed events are not
@@ -473,7 +492,6 @@ type Broker struct {
 	decisionWG sync.WaitGroup
 	fanoutWG   sync.WaitGroup
 	writerWG   sync.WaitGroup
-	consumerWG sync.WaitGroup
 	closeOnce  sync.Once
 
 	// controlStop ends the control-loop goroutine; nil without WithHealth
@@ -499,8 +517,11 @@ func WithDecideWorkers(n int) Option {
 }
 
 // WithObserver registers a callback invoked for every accepted delivery
-// (after accounting and dedup). The callback runs on consumer goroutines
-// and must be safe for concurrent use.
+// (after accounting and dedup). The callback runs on the fan-out workers
+// and must be safe for concurrent use: it can be called concurrently,
+// also for the same node, and copies of different events may reach a node
+// out of sequence order. Blocking in it stalls the calling fan-out worker,
+// which is how a slow subscriber pushes back on Publish.
 func WithObserver(fn func(topology.NodeID, Delivery)) Option {
 	return func(b *Broker) { b.observer = fn }
 }
@@ -544,7 +565,7 @@ func WithHealth(h *health.Health) Option {
 // the hook recovery experiments use to build cost-over-time series.
 // Pricing each decision costs extra model lookups, so attach it only when
 // the series is wanted. Combine with WithDecideWorkers(1) when the
-// consumer needs the callbacks serial and in sequence order.
+// callbacks must arrive serial and in sequence order.
 func WithDecisionObserver(fn func(seq int64, ev workload.Event, d core.Decision, c core.Costs)) Option {
 	return func(b *Broker) { b.decisionObs = fn }
 }
@@ -604,37 +625,29 @@ func New(engine *core.Engine, opts ...Option) (*Broker, error) {
 	}
 	if b.dur != nil {
 		b.initDurable()
+		b.holdAcks = b.dur.store.Replicated()
 	}
 
-	// Initial snapshot and route table. Consumers only ever see fully
-	// populated, immutable tables.
+	// Initial snapshot and route table. Fan-out workers only ever see
+	// fully populated, immutable tables.
 	snap := engine.Snapshot()
 	b.snap.Store(snap)
 	b.ctr.snapVersion.Set(snap.Version())
 	b.lastSwap = time.Now()
-	rt := &routeTable{
-		inboxes: make(map[topology.NodeID]chan Delivery, len(engine.World().SubscriberNodes)),
-		perNode: make(map[topology.NodeID]*atomic.Int64, len(engine.World().SubscriberNodes)),
-	}
+	rt := &routeTable{nodes: make(map[topology.NodeID]*nodeRoute, len(engine.World().SubscriberNodes))}
 	for _, n := range engine.World().SubscriberNodes {
-		rt.inboxes[n] = make(chan Delivery, 32)
-		rt.perNode[n] = new(atomic.Int64)
+		rt.nodes[n] = b.newRoute(n)
 	}
 	if b.dur != nil {
 		// Recovered churned subscriptions were applied to the engine before
-		// New, bypassing ensureRoutes — give their owners inboxes now.
+		// New, bypassing ensureRoutes — give their owners routes now.
 		for _, rec := range b.dur.subs {
-			if _, ok := rt.inboxes[rec.Owner]; !ok {
-				rt.inboxes[rec.Owner] = make(chan Delivery, 32)
-				rt.perNode[rec.Owner] = new(atomic.Int64)
+			if _, ok := rt.nodes[rec.Owner]; !ok {
+				rt.nodes[rec.Owner] = b.newRoute(rec.Owner)
 			}
 		}
 	}
 	b.routes.Store(rt)
-	for n, ch := range rt.inboxes {
-		b.consumerWG.Add(1)
-		go b.consume(n, ch, rt.perNode[n], b.consumerWindow(n))
-	}
 
 	for i := 0; i < b.decideWorkers; i++ {
 		b.decisionWG.Add(1)
@@ -721,7 +734,7 @@ func (b *Broker) PublishSeq(ev workload.Event) (int64, error) {
 // the published decision snapshot: every event published afterwards that
 // matches it will be delivered (by unicast top-up until the next group
 // rebuild folds the subscriber into a group — never lost). A subscriber
-// node that had no inbox gets one, with its delivery counter grown
+// node that had no route gets one, with its delivery counter grown
 // dynamically.
 func (b *Broker) Subscribe(s workload.Subscription) (int, error) {
 	b.closeMu.RLock()
@@ -782,11 +795,6 @@ func (b *Broker) Close() error {
 		// quarantines before exiting, then hands the engine back.
 		close(b.writerStop)
 		b.writerWG.Wait()
-		rt := b.routes.Load()
-		for _, ch := range rt.inboxes {
-			close(ch)
-		}
-		b.consumerWG.Wait()
 		if b.dur != nil {
 			// Everything is quiescent: a clean-shutdown checkpoint leaves
 			// nothing in the journal tail, so the next Open replays zero
@@ -837,7 +845,7 @@ func (b *Broker) Stats() Stats {
 		Quarantined:   b.ctr.quarantined.Value(),
 		Offline:       b.ctr.offline.Value(),
 		Lost:          b.ctr.lost.Value(),
-		PerNode:       make(map[topology.NodeID]int64, len(rt.perNode)),
+		PerNode:       make(map[topology.NodeID]int64, len(rt.nodes)),
 	}
 	if b.health != nil {
 		hc := b.health.CounterSnapshot()
@@ -850,8 +858,8 @@ func (b *Broker) Stats() Stats {
 		out.Probes = hc.Probes
 		out.AutoRefreshes = hc.Refreshes
 	}
-	for n, c := range rt.perNode {
-		out.PerNode[n] = c.Load()
+	for n, nr := range rt.nodes {
+		out.PerNode[n] = nr.delivered.Load()
 	}
 	return out
 }
@@ -931,9 +939,9 @@ func (b *Broker) decideOne(q queued, w int, view *multicast.SPTView) {
 		if sc != nil {
 			nodes = sc.nodes[:0]
 		} else {
-			nodes = make([]topology.NodeID, 0, len(rt.inboxes))
+			nodes = make([]topology.NodeID, 0, len(rt.nodes))
 		}
-		for n := range rt.inboxes {
+		for n := range rt.nodes {
 			nodes = append(nodes, n)
 		}
 		if sc != nil {
@@ -950,6 +958,7 @@ func (b *Broker) decideOne(q queued, w int, view *multicast.SPTView) {
 		b.health.Admission.NoteFanout(len(d.Interested))
 	}
 	enq := time.Now()
+	b.ctr.queueDepth.Observe(float64(len(b.fanoutCh)))
 	if b.health != nil {
 		// Try a non-blocking hand-off first: if the fan-out stage is
 		// congested and the policy sheds, drop the event here when its
@@ -1071,7 +1080,7 @@ apply:
 		b.journalChurn(reqs, resps)
 	}
 	// Routes first, snapshot second: once a decision can match the new
-	// subscriber, its inbox must already exist.
+	// subscriber, its route must already exist.
 	b.ensureRoutes(newOwners)
 	b.publishSnapshot()
 	for i, r := range reqs {
@@ -1079,38 +1088,36 @@ apply:
 	}
 }
 
-// ensureRoutes grows the route table (copy-on-write) with inboxes,
-// counters and consumer goroutines for owners not yet present.
+// ensureRoutes grows the route table (copy-on-write) with routes for
+// owners not yet present.
 func (b *Broker) ensureRoutes(owners []topology.NodeID) {
 	rt := b.routes.Load()
-	var missing []topology.NodeID
+	var nrt *routeTable
 	for _, n := range owners {
-		if _, ok := rt.inboxes[n]; !ok {
-			missing = append(missing, n)
+		if _, ok := rt.nodes[n]; ok {
+			continue
+		}
+		if nrt == nil {
+			nrt = &routeTable{nodes: maps.Clone(rt.nodes)}
+		}
+		if _, ok := nrt.nodes[n]; !ok { // an owner may repeat within a batch
+			nrt.nodes[n] = b.newRoute(n)
 		}
 	}
-	if len(missing) == 0 {
-		return
+	if nrt != nil {
+		b.routes.Store(nrt)
 	}
-	nrt := &routeTable{
-		inboxes: make(map[topology.NodeID]chan Delivery, len(rt.inboxes)+len(missing)),
-		perNode: make(map[topology.NodeID]*atomic.Int64, len(rt.perNode)+len(missing)),
+}
+
+// newRoute builds node n's receiving state. Its dedup window exists only
+// when a duplicate can arise — durable brokers redeliver after recovery
+// (their windows are seeded from it) and fault injection retransmits.
+func (b *Broker) newRoute(n topology.NodeID) *nodeRoute {
+	nr := &nodeRoute{}
+	if b.dur != nil || b.inj != nil {
+		nr.win = &lockedWindow{w: b.dur.takeRecovered(n, b.rel.DedupWindow)}
 	}
-	for n, ch := range rt.inboxes {
-		nrt.inboxes[n] = ch
-		nrt.perNode[n] = rt.perNode[n]
-	}
-	for _, n := range missing {
-		if _, ok := nrt.inboxes[n]; ok {
-			continue // duplicate owner within one batch
-		}
-		ch := make(chan Delivery, 32)
-		nrt.inboxes[n] = ch
-		nrt.perNode[n] = new(atomic.Int64)
-		b.consumerWG.Add(1)
-		go b.consume(n, ch, nrt.perNode[n], b.consumerWindow(n))
-	}
-	b.routes.Store(nrt)
+	return nr
 }
 
 // publishSnapshot swaps in a fresh decision snapshot if the engine's state
@@ -1308,25 +1315,26 @@ func routePaths(view *multicast.SPTView, r *routed) map[topology.NodeID][]topolo
 	return paths
 }
 
-// fanout places one copy per destination inbox. Each fully fanned-out
-// event releases its admission token — the point where the inflight bound
-// stops counting it.
+// fanout delivers and accepts every copy of each routed event. A fully
+// fanned-out event releases its admission token — the point where the
+// inflight bound stops counting it.
 func (b *Broker) fanout() {
 	defer b.fanoutWG.Done()
+	var held []heldCopy // reused across events
 	for r := range b.fanoutCh {
-		if b.dur != nil {
-			// Refcount the copies: start at 1 for the fan-out stage itself
-			// so the count cannot hit zero until every send has happened.
-			r.pending = new(atomic.Int64)
-			r.pending.Store(1)
+		r.held = held
+		b.fanoutOne(&r)
+		if b.holdAcks {
+			held = b.releaseHeld(&r)
 		}
-		b.fanoutOne(r)
-		if r.pending != nil && r.pending.Add(-1) == 0 {
+		if b.dur != nil {
+			// Every copy was accepted or dropped: future checkpoints stop
+			// carrying the publication's journal record forward.
 			b.dur.inflight.Delete(r.seq)
 		}
 		r.tok.Release()
 		if r.scratch != nil {
-			// Every copy is in its inbox (Delivery holds values, not the
+			// Every copy is accepted (Delivery holds values, not the
 			// decision's slices), so the event no longer references the
 			// scratch-backed buffers.
 			decideScratchPool.Put(r.scratch)
@@ -1335,63 +1343,41 @@ func (b *Broker) fanout() {
 }
 
 // fanoutOne delivers one routed event to all its destinations.
-func (b *Broker) fanoutOne(r routed) {
+func (b *Broker) fanoutOne(r *routed) {
 	rt := b.routes.Load()
-	if r.d.Method == multicast.Broadcast {
-		// Flooding: every subscriber node captured at decision time
-		// receives a copy (non-subscriber nodes have no inbox and are
-		// represented by waste accounting at the cost level, not the
-		// delivery level).
-		for _, n := range r.nodes {
-			b.deliver(rt, r, n, Delivery{
-				Event:      r.ev,
-				Seq:        r.seq,
-				Method:     multicast.Broadcast,
-				Group:      -1,
-				Interested: interestedIn(&r.d, n),
-			})
+	unicast := Delivery{Event: r.ev, Seq: r.seq, Method: multicast.Unicast, Group: -1, Interested: true}
+	switch r.d.Method {
+	case multicast.Broadcast, multicast.NetworkMulticast:
+		// A flood reaches every subscriber node captured at decision time
+		// (non-subscriber nodes have no route and are represented by waste
+		// accounting at the cost level, not the delivery level); a group
+		// multicast reaches the group's members, then the remainder.
+		d := unicast
+		d.Method = r.d.Method
+		if r.d.Method == multicast.NetworkMulticast {
+			d.Group = r.d.Group
 		}
-		return
-	}
-	if r.d.Method == multicast.NetworkMulticast {
 		for _, n := range r.nodes {
-			b.deliver(rt, r, n, Delivery{
-				Event:      r.ev,
-				Seq:        r.seq,
-				Method:     multicast.NetworkMulticast,
-				Group:      r.d.Group,
-				Interested: interestedIn(&r.d, n),
-			})
+			d.Interested = interestedIn(&r.d, n)
+			b.deliver(rt, r, n, d)
 		}
 		for _, n := range r.d.Remainder {
-			b.deliver(rt, r, n, Delivery{
-				Event:      r.ev,
-				Seq:        r.seq,
-				Method:     multicast.Unicast,
-				Group:      -1,
-				Interested: true,
-			})
+			b.deliver(rt, r, n, unicast)
 		}
-		return
-	}
-	for _, n := range r.d.Interested {
-		b.deliver(rt, r, n, Delivery{
-			Event:      r.ev,
-			Seq:        r.seq,
-			Method:     multicast.Unicast,
-			Group:      -1,
-			Interested: true,
-		})
+	default:
+		for _, n := range r.d.Interested {
+			b.deliver(rt, r, n, unicast)
+		}
 	}
 }
 
-// deliver places a copy in a node's inbox; unknown nodes (non-subscribers)
-// are counted but have no inbox. Under fault injection it runs the
-// reliability protocol.
-func (b *Broker) deliver(rt *routeTable, r routed, n topology.NodeID, d Delivery) {
+// deliver hands a copy to a node; unknown nodes (non-subscribers) are
+// counted but have no route. Under fault injection it runs the reliability
+// protocol.
+func (b *Broker) deliver(rt *routeTable, r *routed, n topology.NodeID, d Delivery) {
 	d.born = r.t0
 	d.trace = r.trace
-	ch, ok := rt.inboxes[n]
+	nr, ok := rt.nodes[n]
 	if !ok {
 		// A group may reference a node that stopped subscribing between
 		// refreshes; count the waste, nothing to deliver to.
@@ -1402,20 +1388,15 @@ func (b *Broker) deliver(rt *routeTable, r routed, n topology.NodeID, d Delivery
 		return
 	}
 	if b.inj == nil {
-		b.ctr.queueDepth.Observe(float64(len(ch)))
-		if r.pending != nil {
-			r.pending.Add(1)
-			d.pending = r.pending
-		}
-		ch <- d
+		b.accept(r, n, nr, d)
 		return
 	}
-	b.deliverReliable(r, n, ch, d)
+	b.deliverReliable(r, n, nr, d)
 }
 
 // deliverReliable runs the retry → degrade → quarantine ladder for one
 // delivery over the lossy fabric.
-func (b *Broker) deliverReliable(r routed, n topology.NodeID, ch chan<- Delivery, d Delivery) {
+func (b *Broker) deliverReliable(r *routed, n topology.NodeID, nr *nodeRoute, d Delivery) {
 	if b.health != nil && !b.health.Tracker.AllowDest(n) {
 		// Open breaker: skip the destination outright instead of burning
 		// the event's retry budget on a known-dead path. The routed group
@@ -1461,7 +1442,7 @@ func (b *Broker) deliverReliable(r routed, n topology.NodeID, ch chan<- Delivery
 			if b.health != nil {
 				b.health.Tracker.ReportPath(path, true)
 			}
-			b.complete(r, n, ch, d, attempt)
+			b.complete(r, n, nr, d, attempt)
 			return
 		}
 		r.trace.Add("retry", time.Now(), 0, int64(n), d.Group, attempt, "dropped")
@@ -1494,7 +1475,7 @@ func (b *Broker) deliverReliable(r routed, n topology.NodeID, ch chan<- Delivery
 		}
 		if !b.inj.DropAttempt(r.seq, n, attempt+la, apath) {
 			b.ctr.degraded.Add(1)
-			b.complete(r, n, ch, d, attempt+la)
+			b.complete(r, n, nr, d, attempt+la)
 			return
 		}
 	}
@@ -1502,9 +1483,9 @@ func (b *Broker) deliverReliable(r routed, n topology.NodeID, ch chan<- Delivery
 	b.abandon(n, d)
 }
 
-// complete hands a successful (possibly retransmitted, possibly
-// duplicated, possibly delayed) copy to the destination inbox.
-func (b *Broker) complete(r routed, n topology.NodeID, ch chan<- Delivery, d Delivery, attempt int) {
+// complete accepts a successful (possibly retransmitted, possibly
+// duplicated, possibly delayed) copy at the destination.
+func (b *Broker) complete(r *routed, n topology.NodeID, nr *nodeRoute, d Delivery, attempt int) {
 	d.Attempt = attempt
 	if attempt > 0 {
 		b.ctr.redelivered.Add(1)
@@ -1512,17 +1493,9 @@ func (b *Broker) complete(r routed, n topology.NodeID, ch chan<- Delivery, d Del
 	if delay := b.inj.Delay(r.seq, n); delay > 0 {
 		time.Sleep(delay)
 	}
-	b.ctr.queueDepth.Observe(float64(len(ch)))
-	if r.pending != nil {
-		r.pending.Add(1)
-		d.pending = r.pending
-	}
-	ch <- d
+	b.accept(r, n, nr, d)
 	if b.inj.Duplicate(r.seq, n) {
-		if r.pending != nil {
-			r.pending.Add(1)
-		}
-		ch <- d // receiver-side dedup suppresses the copy
+		b.accept(r, n, nr, d) // the node's dedup window suppresses the copy
 	}
 }
 
@@ -1555,68 +1528,81 @@ func (b *Broker) backoff(seq int64, n topology.NodeID, attempt int) {
 	b.ctr.backoffWait.ObserveDuration(wait)
 }
 
-// consume drains one node's inbox, dedups on sequence number within a
-// bounded sliding window, and accounts deliveries. Durable brokers pass a
-// locked window (lw) that checkpoints can capture and journal each
-// admission as an ack record; otherwise a private window is used when
-// fault injection makes duplicates possible.
-func (b *Broker) consume(n topology.NodeID, ch <-chan Delivery, pn *atomic.Int64, lw *lockedWindow) {
-	defer b.consumerWG.Done()
-	var seen *seqWindow
-	if lw == nil && b.inj != nil {
-		seen = newSeqWindow(b.rel.DedupWindow)
-	}
-	for d := range ch {
-		fresh := true
-		if lw != nil {
-			// Journal the ack before the seq enters the window, and do both
-			// under the window lock: a checkpoint capture must never see an
-			// admitted seq whose ack record failed to append (the copy is
-			// dropped unobserved and the persisted window would suppress its
-			// redelivery), and an ack that landed in a journal the checkpoint
-			// deletes must already be in the captured window.
-			var ack func() error
-			if b.dur != nil {
-				ack = func() error { return b.dur.store.AppendAck(n, d.Seq) }
+// accept is the receiving end of one copy, run on the fan-out worker that
+// delivers it: dedup within the node's window (journalling the ack first on
+// durable brokers), then observe. A replicated broker holds the copy back
+// instead, until releaseHeld has the event's acks on the replica — one
+// barrier per event rather than one replica round trip per copy.
+func (b *Broker) accept(r *routed, n topology.NodeID, nr *nodeRoute, d Delivery) {
+	if nr.win != nil {
+		var ack func() error
+		if b.dur != nil {
+			ack = func() error {
+				t, err := b.dur.store.AppendAck(n, d.Seq)
+				r.ackTicket = max(r.ackTicket, t)
+				return err
 			}
-			var err error
-			fresh, err = lw.admitDurable(d.Seq, ack)
-			if err != nil {
-				// Store crashed mid-ack: drop the copy unobserved — the
-				// next incarnation redelivers it unless the ack reached
-				// the journal first (the output-commit window; recorded
-				// for chaos oracles).
-				if errors.Is(err, faults.ErrCrashed) && b.dur != nil {
-					b.dur.noteLost(n, d.Seq)
-				}
-				b.durDone(d)
-				continue
+		}
+		fresh, err := nr.win.admit(d.Seq, ack)
+		if err != nil {
+			// Store crashed mid-ack: drop the copy unobserved — the next
+			// incarnation redelivers it unless the ack reached the journal
+			// first (the output-commit window; recorded for chaos oracles).
+			if errors.Is(err, faults.ErrCrashed) {
+				b.dur.noteLost(n, d.Seq)
 			}
-		} else if seen != nil {
-			fresh = seen.admit(d.Seq)
+			return
 		}
 		if !fresh {
 			b.ctr.deduped.Add(1)
 			d.trace.Add("dedup", time.Now(), 0, int64(n), d.Group, d.Attempt, "")
-			b.durDone(d)
-			continue
+			return
 		}
-		b.ctr.deliveries.Add(1)
-		pn.Add(1)
-		if !d.born.IsZero() {
-			lat := time.Since(d.born)
-			b.ctr.deliverLatency.ObserveDuration(lat)
-			if b.health != nil {
-				b.health.Tracker.ReportSuccess(n, lat)
-			}
+	}
+	if b.holdAcks {
+		r.held = append(r.held, heldCopy{n: n, nr: nr, d: d})
+		return
+	}
+	b.observe(n, nr, d)
+}
+
+// releaseHeld waits until the replica has every ack of r's held copies,
+// then observes them; a failed barrier drops them unobserved, like a
+// failed ack append. Their seqs stay in the windows: the local journal
+// already holds their acks, so a restart from this directory suppresses
+// them either way. It returns the emptied buffer for reuse.
+func (b *Broker) releaseHeld(r *routed) []heldCopy {
+	if len(r.held) == 0 {
+		return r.held
+	}
+	err := b.dur.store.AckBarrier(r.ackTicket)
+	for _, c := range r.held {
+		switch {
+		case err == nil:
+			b.observe(c.n, c.nr, c.d)
+		case errors.Is(err, faults.ErrCrashed):
+			b.dur.noteLost(c.n, c.d.Seq)
 		}
-		d.trace.Add("ack", time.Now(), 0, int64(n), d.Group, d.Attempt, "")
-		if !d.Interested {
-			b.ctr.wasted.Add(1)
-		}
-		if b.observer != nil {
-			b.observer(n, d)
-		}
-		b.durDone(d)
+	}
+	clear(r.held) // drop the events' references before reuse
+	return r.held[:0]
+}
+
+// observe accounts one accepted copy — counters, the latency histogram,
+// the breaker's success signal — and hands it to the observer.
+func (b *Broker) observe(n topology.NodeID, nr *nodeRoute, d Delivery) {
+	b.ctr.deliveries.Add(1)
+	nr.delivered.Add(1)
+	lat := time.Since(d.born)
+	b.ctr.deliverLatency.ObserveDuration(lat)
+	if b.health != nil {
+		b.health.Tracker.ReportSuccess(n, lat)
+	}
+	d.trace.Add("ack", time.Now(), 0, int64(n), d.Group, d.Attempt, "")
+	if !d.Interested {
+		b.ctr.wasted.Add(1)
+	}
+	if b.observer != nil {
+		b.observer(n, d)
 	}
 }

@@ -8,10 +8,10 @@ package broker
 //     replay order equals snapshot swap order;
 //   - publish records appended (and fsync-batched) before Publish returns,
 //     so an acknowledged publish survives any crash;
-//   - delivery-ack records appended before a consumed copy is counted, so
+//   - delivery-ack records appended before an accepted copy is counted, so
 //     recovery knows which copies already arrived;
 //   - periodic checkpoints — journal rotation, in-flight publishes carried
-//     into the fresh epoch, then engine churn state + per-consumer dedup
+//     into the fresh epoch, then engine churn state + per-node dedup
 //     windows + preserved counters installed atomically — after which the
 //     previous epochs' journals are deleted.
 //
@@ -49,16 +49,16 @@ var preservedCounters = []string{
 	"deliveries", "wasted", "subscribes", "unsubscribes",
 }
 
-// lockedWindow pairs a consumer's dedup window with a mutex so checkpoints
-// can capture it while the consumer keeps admitting. Only durable brokers
-// pay for the lock; fault-injection-only consumers keep a private window.
+// lockedWindow is one node's dedup window behind a mutex: fan-out workers
+// admit into it concurrently, and checkpoints capture it while they do.
 type lockedWindow struct {
 	mu sync.Mutex
 	w  *seqWindow
 }
 
-// admitDurable performs duplicate-check → ack append → admission as one
-// atomic step with respect to checkpoint capture. The ordering is
+// admit performs duplicate-check → ack append (durable brokers pass the
+// append, others nil) → admission as one atomic step with respect to
+// concurrent admits and checkpoint capture. The ordering is
 // load-bearing for exactly-once across a crash: if the seq entered the
 // window before its ack record existed, a checkpoint could capture the
 // window mid-gap and persist "seen" for a copy that is then dropped when
@@ -68,7 +68,7 @@ type lockedWindow struct {
 // the checkpoint deletes) is always visible to the subsequent capture.
 // Returns fresh=false for duplicates (nothing appended) and a non-nil err
 // when the store refused the ack (caller drops the copy unobserved).
-func (lw *lockedWindow) admitDurable(seq int64, ack func() error) (fresh bool, err error) {
+func (lw *lockedWindow) admit(seq int64, ack func() error) (fresh bool, err error) {
 	lw.mu.Lock()
 	defer lw.mu.Unlock()
 	if !lw.w.fresh(seq) {
@@ -101,8 +101,7 @@ type recoveredInit struct {
 
 // durState is the broker's durability bookkeeping. The identity maps are
 // owned by the writer goroutine (churn, refresh remaps and checkpoints all
-// run there); inflight and the windows' contents are shared with
-// publishers and consumers.
+// run there); inflight is shared with publishers and fan-out workers.
 type durState struct {
 	store *durable.Store
 
@@ -113,16 +112,13 @@ type durState struct {
 	subs        map[int64]durable.SubRecord // live churned subs (id ≥ baseCount)
 	removedBase map[int64]bool
 
-	// inflight maps seq → workload.Event for publishes not yet consumed by
-	// every addressed copy; checkpoints re-append these into the fresh
+	// inflight maps seq → workload.Event for publishes not yet fanned out
+	// to every addressed copy; checkpoints re-append these into the fresh
 	// journal epoch so truncation never drops an undelivered publish.
 	inflight sync.Map
 
-	// windows holds each consumer's locked dedup window (written at
-	// consumer spawn — New or the writer's ensureRoutes — read by
-	// checkpoints on the same goroutine or after quiescence in Close).
-	windows map[topology.NodeID]*lockedWindow
-	// recovered seeds windows for consumers not yet spawned.
+	// recovered seeds the dedup windows of nodes not yet routed (taken
+	// by New and the writer's ensureRoutes).
 	recovered map[topology.NodeID]*seqWindow
 
 	// lost records copies dropped unobserved because a simulated crash
@@ -276,7 +272,6 @@ func Open(dir string, engine *core.Engine, opts ...Option) (*Broker, error) {
 // counters, and position the sequence allocator past everything journaled.
 func (b *Broker) initDurable() {
 	d := b.dur
-	d.windows = map[topology.NodeID]*lockedWindow{}
 	d.recovered = map[topology.NodeID]*seqWindow{}
 	d.store.Instrument(b.reg)
 	if d.init == nil {
@@ -302,34 +297,17 @@ func (b *Broker) initDurable() {
 	b.seq.Store(in.nextSeq)
 }
 
-// consumerWindow builds node n's dedup window holder at consumer spawn:
-// nil without durability (fault-injection consumers keep a private,
-// lock-free window), otherwise a locked window seeded from recovery.
-func (b *Broker) consumerWindow(n topology.NodeID) *lockedWindow {
-	if b.dur == nil {
-		return nil
+// takeRecovered returns node n's dedup window seeded from recovery, or a
+// fresh one of the given size when nothing was recovered for n (always for
+// a nil d — a broker without durability).
+func (d *durState) takeRecovered(n topology.NodeID, size int) *seqWindow {
+	if d != nil {
+		if w, ok := d.recovered[n]; ok {
+			delete(d.recovered, n)
+			return w
+		}
 	}
-	w, ok := b.dur.recovered[n]
-	if ok {
-		delete(b.dur.recovered, n)
-	} else {
-		w = newSeqWindow(b.rel.DedupWindow)
-	}
-	lw := &lockedWindow{w: w}
-	b.dur.windows[n] = lw
-	return lw
-}
-
-// durDone retires one consumed (or skipped) copy of a publication; when
-// the last copy retires, the publication leaves the in-flight set and
-// future checkpoints stop carrying its journal record forward.
-func (b *Broker) durDone(d Delivery) {
-	if d.pending == nil {
-		return
-	}
-	if d.pending.Add(-1) == 0 {
-		b.dur.inflight.Delete(d.Seq)
-	}
+	return newSeqWindow(size)
 }
 
 // journalChurn appends one record per applied churn request, then issues a
@@ -446,8 +424,8 @@ func (b *Broker) doCheckpoint() error {
 		cp.Subs = append(cp.Subs, rec)
 	}
 	sort.Slice(cp.Subs, func(i, j int) bool { return cp.Subs[i].ID < cp.Subs[j].ID })
-	for n, lw := range d.windows {
-		max, seqs := lw.capture()
+	for n, nr := range b.routes.Load().nodes {
+		max, seqs := nr.win.capture()
 		if max < 0 {
 			continue // nothing admitted yet
 		}

@@ -4,7 +4,7 @@ import "sort"
 
 // seqWindow is a fixed-footprint sliding-window duplicate detector over
 // publication sequence numbers. It replaces the old unbounded
-// map[int64]bool per consumer: memory is exactly one int64 slot per window
+// map[int64]bool per node: memory is exactly one int64 slot per window
 // position for the life of the broker, regardless of how many events flow.
 //
 // The window covers the last size sequence numbers ending at the highest
@@ -17,7 +17,8 @@ import "sort"
 // immediate retransmission, so a correctly sized window never misclassifies
 // a first delivery.
 //
-// Not safe for concurrent use; each consumer goroutine owns one.
+// Not safe for concurrent use; the broker wraps each node's window in a
+// lockedWindow.
 type seqWindow struct {
 	slots []int64
 	max   int64 // highest sequence number admitted; -1 before the first

@@ -19,7 +19,7 @@ func BenchmarkJournalAppend(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := s.AppendAck(topology.NodeID(i%64), int64(i)); err != nil {
+		if _, err := s.AppendAck(topology.NodeID(i%64), int64(i)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -16,7 +16,7 @@ const (
 // Checkpoint is the serialized broker state at one point in time. It
 // covers everything a restart cannot rebuild from the base subscriptions
 // alone: the live churned subscriptions (and which base subscriptions were
-// removed), the per-consumer dedup windows, the next seq / durable-id
+// removed), the per-node dedup windows, the next seq / durable-id
 // allocators, and the counter values the broker preserves across a durable
 // restart. The journal epoch the checkpoint belongs to is stamped by the
 // Store at commit time; recovery replays that epoch's journal (and any

@@ -1,7 +1,7 @@
 // Package durable persists broker state: an append-only, CRC-framed,
 // fsync-batched write-ahead journal of subscription churn, publish and
 // delivery-ack records, plus periodic checkpoints that serialize the
-// engine's decision inputs and per-consumer dedup windows. A broker
+// engine's decision inputs and per-node dedup windows. A broker
 // restarted over the same directory rebuilds its state from the newest
 // checkpoint and the journal tail, redelivering the outstanding publishes
 // so that events acknowledged before a crash are delivered exactly once
@@ -75,14 +75,14 @@ type PublishRecord struct {
 	Ev  workload.Event
 }
 
-// AckRecord marks one (consumer node, seq) delivery as admitted into the
-// consumer's dedup window.
+// AckRecord marks one (node, seq) delivery as admitted into the node's
+// dedup window.
 type AckRecord struct {
 	Node topology.NodeID
 	Seq  int64
 }
 
-// WindowState is a checkpointed per-consumer dedup window: the seqs still
+// WindowState is a checkpointed per-node dedup window: the seqs still
 // inside the sliding window at capture time.
 type WindowState struct {
 	Node topology.NodeID

@@ -38,7 +38,7 @@ import (
 //     by the replica, the tap decides to proceed without one (replica
 //     declared dead), or the leader is fenced (error). It is called
 //     outside the store locks, after the local fsync, by both publish
-//     barriers and delivery-ack appends.
+//     barriers and delivery-ack barriers (AckBarrier).
 type Tap interface {
 	AppendRecord(idx int64, payload []byte)
 	Rotate(journalEpoch int64)

@@ -615,20 +615,28 @@ func (s *Store) AppendPublishes(recs []PublishRecord) error {
 }
 
 // AppendAck journals a delivery admission (buffered; rides the next
-// fsync barrier locally). With a replication tap installed it does wait
-// for the replica's acknowledgement: a delivery may only be observed once
-// the ack record that suppresses its replay exists on both sides —
-// otherwise a promoted follower would deliver the copy again.
-func (s *Store) AppendAck(node topology.NodeID, seq int64) error {
-	t, err := s.append(encodeAckRecord(nil, AckRecord{Node: node, Seq: seq}))
-	if err != nil {
-		return err
-	}
-	if s.tap != nil {
-		return s.tap.Barrier(t)
-	}
-	return nil
+// fsync barrier locally) and returns its ticket. With a replication tap
+// installed, the delivery may only be observed once AckBarrier has
+// covered the ticket: the ack record that suppresses its replay must
+// exist on both sides, otherwise a promoted follower would deliver the
+// copy again.
+func (s *Store) AppendAck(node topology.NodeID, seq int64) (int64, error) {
+	return s.append(encodeAckRecord(nil, AckRecord{Node: node, Seq: seq}))
 }
+
+// AckBarrier blocks until the replica has acknowledged every record with
+// a ticket ≤ t, so one call covers a whole batch of AppendAck calls.
+// Without a replication tap it returns nil at once.
+func (s *Store) AckBarrier(t int64) error {
+	if s.tap == nil {
+		return nil
+	}
+	return s.tap.Barrier(t)
+}
+
+// Replicated reports whether a replication tap is installed, that is
+// whether AckBarrier can wait.
+func (s *Store) Replicated() bool { return s.tap != nil }
 
 // BeginCheckpoint rotates to a fresh journal epoch. The caller then
 // re-appends any in-flight publish records and captures the checkpoint

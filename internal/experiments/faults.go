@@ -24,7 +24,7 @@ type FaultPoint struct {
 	Observed  float64 // 1 + Retries/Deliveries, measured
 	Delivered float64 // fraction of interested deliveries completed
 
-	// Delivery-latency distribution (publish → consumer ack), read from the
+	// Delivery-latency distribution (decide → accept at the node), read from the
 	// broker's deliver_latency_ns histogram. Retries and degradations push
 	// the tail far beyond the mean — see EXPERIMENTS.md.
 	LatencyMean time.Duration

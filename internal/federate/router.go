@@ -35,7 +35,9 @@ type Config struct {
 
 	// Observer receives every federated delivery exactly once, with
 	// Delivery.Seq rewritten to the router-global publication seq.
-	// Called from shard consumer goroutines; may be nil.
+	// Called from the shards' fan-out workers (and remote shard pumps),
+	// concurrently and possibly for the same node at once, so it must be
+	// safe for concurrent use; may be nil.
 	Observer func(topology.NodeID, broker.Delivery)
 
 	// Resolve, when non-nil, is asked for a replacement shard after a
@@ -87,7 +89,10 @@ type Router struct {
 
 	gseq   atomic.Int64
 	closed atomic.Bool
-	stats  counters
+	// done closes with the router, releasing Feed calls still waiting for
+	// a seq translation.
+	done  chan struct{}
+	stats counters
 }
 
 var _ transport.Backend = (*Router)(nil)
@@ -120,6 +125,7 @@ func NewRouter(cfg Config) (*Router, error) {
 		subs:   make(map[SubID][]SlotRef),
 		maps:   make([]*seqMap, len(cfg.Tiles)),
 		dedup:  make(map[topology.NodeID]*dedupWindow),
+		done:   make(chan struct{}),
 	}
 	for i := range r.maps {
 		r.maps[i] = newSeqMap(cfg.MapWindow)
@@ -354,9 +360,10 @@ func (r *Router) Refs(id SubID) []SlotRef {
 	return append([]SlotRef(nil), r.subs[id]...)
 }
 
-// feedWait bounds how long Feed polls for a missing seq translation.
-// Deliveries race the recording DecideSeq return by nanoseconds; only a
-// replay of pre-router journal content waits the full budget.
+// feedWait bounds how long Feed waits for a missing seq translation.
+// Deliveries race the recording DecideSeq return and are woken the moment
+// it lands; only a replay of pre-router journal content, which is never
+// recorded, waits the full budget.
 const feedWait = 20 * time.Millisecond
 
 // Feed merges one delivery from shard i into the federated stream:
@@ -364,16 +371,9 @@ const feedWait = 20 * time.Millisecond
 // duplicates per subscriber node, forward the survivor. It is the body
 // of ShardObserver(i) and the entry point for remote shard pumps.
 func (r *Router) Feed(i int, n topology.NodeID, d broker.Delivery) {
-	g, ok := r.maps[i].lookup(d.Seq)
-	if !ok {
-		// The broker can deliver before PublishSeq returns to the
-		// router; give the translation a moment to be recorded.
-		deadline := time.Now().Add(feedWait)
-		for !ok && time.Now().Before(deadline) && !r.closed.Load() {
-			time.Sleep(100 * time.Microsecond)
-			g, ok = r.maps[i].lookup(d.Seq)
-		}
-	}
+	// The broker can deliver before PublishSeq returns to the router;
+	// wait for the translation to be recorded.
+	g, ok := r.maps[i].await(d.Seq, feedWait, r.done)
 	if !ok {
 		// A replay from an incarnation predating this router: no global
 		// seq exists. Dedup under a synthetic per-(shard, local-seq) key
@@ -423,6 +423,7 @@ func (r *Router) Close() error {
 	if r.closed.Swap(true) {
 		return nil
 	}
+	close(r.done)
 	r.mu.Lock()
 	shards := append([]broker.Shard(nil), r.shards...)
 	r.mu.Unlock()

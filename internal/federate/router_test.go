@@ -3,6 +3,7 @@ package federate
 import (
 	"errors"
 	"net"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -400,5 +401,65 @@ func TestRouterValidation(t *testing.T) {
 	}
 	if err := r.Publish(workload.Event{Point: space.Point{3}}); !errors.Is(err, ErrClosed) {
 		t.Errorf("publish after close returned %v, want ErrClosed", err)
+	}
+}
+
+// TestFeedWakesOnRecord: deliveries that overtake their seq translations
+// wait for the records and are woken by them. The records land 1 ms after
+// a Feed starts waiting — the first one for the other waiter's seq, which
+// must go back to waiting — and each copy must leave under its recorded
+// global seq, counted as mapped, within a small multiple of that delay.
+func TestFeedWakesOnRecord(t *testing.T) {
+	var mu sync.Mutex
+	got := map[topology.NodeID]int64{}
+	r, err := NewRouter(Config{
+		Tiles: Partition{{{Lo: 0, Hi: 1}}},
+		Observer: func(n topology.NodeID, d broker.Delivery) {
+			mu.Lock()
+			got[n] = d.Seq
+			mu.Unlock()
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	const delay = time.Millisecond
+	fed := make(chan time.Time, 2)
+	for n, seq := range map[topology.NodeID]int64{3: 7, 4: 8} {
+		n, seq := n, seq
+		go func() {
+			r.Feed(0, n, broker.Delivery{Seq: seq})
+			fed <- time.Now()
+		}()
+	}
+	m := r.maps[0]
+	for {
+		m.mu.Lock()
+		waiting := m.waiting
+		m.mu.Unlock()
+		if waiting {
+			break
+		}
+		time.Sleep(10 * time.Microsecond)
+	}
+	start := time.Now()
+	time.Sleep(delay)
+	m.record(8, 43)
+	m.record(7, 42)
+	for i := 0; i < 2; i++ {
+		// 10× the delay is half of feedWait: a Feed that returns inside
+		// it was woken by its record, not released by the deadline.
+		if waited := (<-fed).Sub(start); waited > 10*delay {
+			t.Fatalf("Feed returned %v after a waiter started on records that landed after %v", waited, delay)
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if got[3] != 42 || got[4] != 43 {
+		t.Fatalf("delivered under global seqs %v, want node 3 → 42 and node 4 → 43", got)
+	}
+	if u := r.Stats().Unmapped; u != 0 {
+		t.Fatalf("Unmapped = %d, want 0", u)
 	}
 }

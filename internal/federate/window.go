@@ -3,6 +3,7 @@ package federate
 import (
 	"math"
 	"sync"
+	"time"
 )
 
 // windowEmpty marks an unused ring slot in both window types. Global
@@ -51,18 +52,24 @@ func (w *dedupWindow) admit(key int64) bool {
 // seqs. Bounded the same way as dedupWindow. A shard's deliveries race
 // the router's own bookkeeping — the broker can deliver an event before
 // the DecideSeq call that published it returns — so the router's Feed
-// path polls a missing entry briefly before declaring it unmapped.
+// path waits for a missing entry, woken by the record that adds it,
+// before declaring it unmapped.
 type seqMap struct {
 	mu   sync.Mutex
 	m    map[int64]int64
 	ring []int64
 	next int
+	// recorded is closed and replaced by the first record after a waiter
+	// took it (waiting), waking every await blocked on a missing entry.
+	recorded chan struct{}
+	waiting  bool
 }
 
 func newSeqMap(n int) *seqMap {
 	s := &seqMap{
-		m:    make(map[int64]int64, n),
-		ring: make([]int64, n),
+		m:        make(map[int64]int64, n),
+		ring:     make([]int64, n),
+		recorded: make(chan struct{}),
 	}
 	for i := range s.ring {
 		s.ring[i] = windowEmpty
@@ -82,6 +89,11 @@ func (s *seqMap) record(local, global int64) {
 		s.next = (s.next + 1) % len(s.ring)
 	}
 	s.m[local] = global
+	if s.waiting {
+		close(s.recorded)
+		s.recorded = make(chan struct{})
+		s.waiting = false
+	}
 }
 
 // lookup returns the global seq recorded for local, without waiting.
@@ -90,4 +102,35 @@ func (s *seqMap) lookup(local int64) (int64, bool) {
 	g, ok := s.m[local]
 	s.mu.Unlock()
 	return g, ok
+}
+
+// await returns the global seq recorded for local, waiting at most wait
+// for the record to land — woken by each record, not polling — and giving
+// up early when done closes.
+func (s *seqMap) await(local int64, wait time.Duration, done <-chan struct{}) (int64, bool) {
+	s.mu.Lock()
+	g, ok := s.m[local]
+	if ok {
+		s.mu.Unlock()
+		return g, true
+	}
+	timer := time.NewTimer(wait)
+	defer timer.Stop()
+	for {
+		ch := s.recorded
+		s.waiting = true
+		s.mu.Unlock()
+		select {
+		case <-ch:
+		case <-timer.C:
+			return s.lookup(local)
+		case <-done:
+			return s.lookup(local)
+		}
+		s.mu.Lock()
+		if g, ok := s.m[local]; ok {
+			s.mu.Unlock()
+			return g, true
+		}
+	}
 }

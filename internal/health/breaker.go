@@ -61,8 +61,8 @@ type linkHealth struct {
 }
 
 // Tracker detects failing destinations and runs their circuit breakers.
-// It is fed by the broker: ReportSuccess from consumers (ack + latency),
-// ReportFailure from the fan-out workers (abandons, offline skips), and
+// It is fed by the broker's fan-out workers: ReportSuccess on each accepted
+// copy (ack + latency), ReportFailure on abandons and offline skips, and
 // ReportPath for per-link accounting. Safe for concurrent use.
 type Tracker struct {
 	cfg   Config

@@ -125,6 +125,10 @@ type Leader struct {
 	killed  bool // simulated process death: refuse sessions silently
 	closed  bool
 	lastIdx int64 // ticket of the most recent tapped record
+	// soloIdx is the ticket of the most recent record appended with no
+	// live session on a leader not killed — one whose barrier, asked at
+	// append time, would have passed solo (see Barrier).
+	soloIdx int64
 	acked   int64 // follower-acknowledged ship index
 	buf     []entry
 	sess    *feed
@@ -176,7 +180,12 @@ func OpenLeader(dir string, engine *core.Engine, cfg LeaderConfig, opts ...broke
 		return nil, err
 	}
 	l.b = b
+	// Barrier reads the store under mu, and Open's recovery redeliveries
+	// may already be acking — and so barriering — on the broker's fan-out
+	// workers.
+	l.mu.Lock()
 	l.store = b.Store()
+	l.mu.Unlock()
 	return l, nil
 }
 
@@ -191,6 +200,9 @@ func (l *Leader) tapAppend(idx int64, payload []byte) {
 	if l.sess != nil {
 		l.buf = append(l.buf, entry{idx: idx, rec: payload})
 		l.cond.Broadcast()
+	}
+	if (l.sess == nil || l.sess.dead) && !l.killed {
+		l.soloIdx = idx
 	}
 	l.mu.Unlock()
 }
@@ -239,13 +251,18 @@ func (l *Leader) Barrier(idx int64) error {
 		if l.fenced {
 			return ErrFenced
 		}
-		dying := l.killed || (l.store != nil && l.store.Crashed())
+		crashed := l.store != nil && l.store.Crashed()
 		if l.sess == nil || l.sess.dead {
-			if dying {
+			if l.killed || (crashed && idx > l.soloIdx) {
 				// No follower and this leader is dying: the op must not be
 				// acknowledged or observed here — the promoted side never
 				// saw its record, so proceeding would lose an ack or mint
-				// a duplicate.
+				// a duplicate. A record appended while the leader was solo
+				// is the exception to a store crash: its barrier passed
+				// solo at append time, and a caller that batches barriers
+				// (the broker's delivery acks, one per event) must get
+				// that answer, or it drops a copy whose ack the local
+				// journal already holds.
 				return faults.ErrCrashed
 			}
 			// Solo: availability over redundancy for a healthy leader.

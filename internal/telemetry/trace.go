@@ -30,8 +30,8 @@ type Span struct {
 }
 
 // EventTrace accumulates the spans of one sampled publication. Spans may be
-// added concurrently (the broker's fan-out workers and consumers all touch
-// the same event).
+// added concurrently (every fan-out worker delivering a copy of the event
+// touches it).
 type EventTrace struct {
 	Seq int64 `json:"seq"`
 

@@ -12,8 +12,10 @@ import (
 	"crypto/tls"
 	"errors"
 	"fmt"
+	"maps"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/broker"
@@ -131,6 +133,11 @@ type Server struct {
 	draining  bool
 	closed    bool
 
+	// targets is byNode's immutable dispatch view — the sessions behind
+	// each node. Replaced (copy-on-write, under mu) whenever a node's
+	// session set changes; Dispatch only loads it.
+	targets atomic.Pointer[map[topology.NodeID][]*session]
+
 	// wheel schedules flush-window deadlines for every session on one
 	// goroutine (nil when FlushWindow is disabled).
 	wheel *flushWheel
@@ -149,6 +156,7 @@ func NewServer(cfg Config) *Server {
 		sessions: make(map[uint64]*session),
 		byNode:   make(map[topology.NodeID]map[*session]int),
 	}
+	srv.targets.Store(&map[topology.NodeID][]*session{})
 	if cfg.FlushWindow > 0 {
 		srv.wheel = newFlushWheel(cfg.FlushWindow)
 	}
@@ -159,16 +167,12 @@ func NewServer(cfg Config) *Server {
 func (srv *Server) Telemetry() *telemetry.Registry { return srv.cfg.Registry }
 
 // Dispatch is the broker observer: it forwards an accepted delivery to
-// every session subscribed as node n. It runs on broker consumer
-// goroutines and blocks when a session's buffer is full, which is exactly
-// the backpressure chain the transport exists to extend.
+// every session subscribed as node n. It runs on the broker's fan-out
+// workers, concurrently and without locks on its target lookup, and blocks
+// when a session's buffer is full — stalling the fan-out worker, which is
+// exactly the backpressure chain the transport exists to extend.
 func (srv *Server) Dispatch(n topology.NodeID, d broker.Delivery) {
-	srv.mu.Lock()
-	var targets []*session
-	for s := range srv.byNode[n] {
-		targets = append(targets, s)
-	}
-	srv.mu.Unlock()
+	targets := (*srv.targets.Load())[n]
 	if len(targets) == 0 {
 		return
 	}
@@ -427,12 +431,7 @@ func (srv *Server) handleSubscribe(sess *session, m wire.Subscribe) {
 			}
 			sess.slots[int64(slot)] = m.Owner
 			sess.mu.Unlock()
-			set := srv.byNode[m.Owner]
-			if set == nil {
-				set = make(map[*session]int)
-				srv.byNode[m.Owner] = set
-			}
-			set[sess]++
+			srv.addNodeRef(sess, m.Owner)
 			srv.mu.Unlock()
 		}
 	}
@@ -475,6 +474,19 @@ func workloadSub(m wire.Subscribe) workload.Subscription {
 	return workload.Subscription{Owner: m.Owner, Rect: m.Rect}
 }
 
+// addNodeRef increments sess's slot refcount under node owner. Caller
+// holds srv.mu.
+func (srv *Server) addNodeRef(sess *session, owner topology.NodeID) {
+	set := srv.byNode[owner]
+	if set == nil {
+		set = make(map[*session]int)
+		srv.byNode[owner] = set
+	}
+	if set[sess]++; set[sess] == 1 {
+		srv.publishTargets(owner)
+	}
+}
+
 // dropNodeRef decrements sess's slot refcount under node owner. Caller
 // holds srv.mu.
 func (srv *Server) dropNodeRef(sess *session, owner topology.NodeID) {
@@ -484,8 +496,28 @@ func (srv *Server) dropNodeRef(sess *session, owner topology.NodeID) {
 			if len(set) == 0 {
 				delete(srv.byNode, owner)
 			}
+			srv.publishTargets(owner)
 		}
 	}
+}
+
+// publishTargets replaces the dispatch view with one whose entries for
+// owners follow byNode. Caller holds srv.mu.
+func (srv *Server) publishTargets(owners ...topology.NodeID) {
+	next := maps.Clone(*srv.targets.Load())
+	for _, n := range owners {
+		set := srv.byNode[n]
+		if len(set) == 0 {
+			delete(next, n)
+			continue
+		}
+		ss := make([]*session, 0, len(set))
+		for s := range set {
+			ss = append(ss, s)
+		}
+		next[n] = ss
+	}
+	srv.targets.Store(&next)
 }
 
 // handlePublish feeds one client publication into the broker, deduping
@@ -547,11 +579,19 @@ func (srv *Server) endSession(sess *session) {
 		delete(srv.sessions, sess.token)
 		srv.met.sessionsActive.Add(-1)
 	}
+	var owners []topology.NodeID
 	for owner, set := range srv.byNode {
+		if _, ok := set[sess]; !ok {
+			continue
+		}
 		delete(set, sess)
 		if len(set) == 0 {
 			delete(srv.byNode, owner)
 		}
+		owners = append(owners, owner)
+	}
+	if len(owners) > 0 {
+		srv.publishTargets(owners...)
 	}
 	b := srv.b
 	srv.mu.Unlock()

@@ -98,7 +98,7 @@ func newSession(srv *Server, token uint64, credits uint32) *session {
 // enqueue adds one delivery for this session, assigning its did. It
 // blocks while the session's buffer is full and the session is alive —
 // the backpressure that chains a slow subscriber through the broker's
-// inboxes to health.Admission at the publish edge. Deliveries for dead
+// fan-out workers to health.Admission at the publish edge. Deliveries for dead
 // sessions are dropped (the subscriber is gone).
 func (s *session) enqueue(d wire.Deliver) {
 	s.mu.Lock()

@@ -1,8 +1,8 @@
 package wire
 
 // Window is a fixed-footprint sliding-window duplicate detector over
-// sequence numbers — the same residue-slot construction the broker's
-// consumers use for delivery dedup, exported here so both ends of a
+// sequence numbers — the same residue-slot construction the broker uses
+// for per-node delivery dedup, exported here so both ends of a
 // connection can run the reliability protocol: the server dedups client
 // publish sequence numbers (a publish retransmitted after a reconnect
 // enters the broker exactly once), and the client dedups delivery ids

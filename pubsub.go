@@ -209,8 +209,9 @@ var (
 
 // Delivery fabric.
 type (
-	// Broker executes Engine decisions over an in-process delivery fabric
-	// with per-node inboxes and delivery accounting.
+	// Broker executes Engine decisions over an in-process delivery fabric:
+	// fan-out workers deliver and account each copy, with per-node dedup
+	// and delivery counters.
 	Broker = broker.Broker
 	// BrokerStats aggregates broker delivery accounting.
 	BrokerStats = broker.Stats
